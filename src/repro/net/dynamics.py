@@ -15,10 +15,20 @@ runtime BWs (§5.1).  We model each directed link's capacity as
 The grid construction makes ``factor(i, j, t)`` a pure function of
 ``(seed, i, j, t)``: no sequential state, so measurement replays and
 independent simulator instances see the same network weather.
+
+Because every draw is pure, the scalars derived from the hash are
+memoized in bounded module-level caches (:func:`_normal_draw`,
+:func:`_uniform_draw`).  Building a fresh ``Generator`` per draw
+dominated every gauge and drain; a cache hit returns the identical
+float, so memoization changes no simulated number.  Snapshot jitter is
+drawn per millisecond of probe time, never repeats within a run, and
+is left uncached.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +52,29 @@ def _link_hash(seed: int, i: int, j: int, bucket: int) -> np.random.Generator:
     return np.random.default_rng(int(key))
 
 
+#: Bounds of the draw caches.  A full service workload on 8 regions
+#: (56 directed links) leaves about 2,000 noise entries; the bounds keep
+#: a pathological caller (a sweep over thousands of noise buckets) from
+#: growing memory without limit.
+NOISE_CACHE_SIZE = 8192
+UNIFORM_CACHE_SIZE = 4096
+
+
+@functools.lru_cache(maxsize=NOISE_CACHE_SIZE)
+def _normal_draw(seed: int, i: int, j: int, bucket: int, scale: float) -> float:
+    """``normal(0, scale)`` from the (seed, link, bucket) generator."""
+    return float(_link_hash(seed, i, j, bucket).normal(0.0, scale))
+
+
+@functools.lru_cache(maxsize=UNIFORM_CACHE_SIZE)
+def _uniform_draw(
+    seed: int, i: int, j: int, bucket: int, low: float, high: float
+) -> float:
+    """``uniform(low, high)`` from the (seed, link, bucket) generator —
+    per-link constants such as phases and scenario link selection."""
+    return float(_link_hash(seed, i, j, bucket).uniform(low, high))
+
+
 @dataclass(frozen=True)
 class FluctuationModel:
     """Multiplicative time-varying factor per directed link.
@@ -59,14 +92,6 @@ class FluctuationModel:
     floor: float = 0.35
     ceiling: float = 1.65
 
-    def _noise_at_bucket(self, i: int, j: int, bucket: int) -> float:
-        rng = _link_hash(self.seed, i, j, bucket)
-        return float(rng.normal(0.0, self.sigma))
-
-    def _phase(self, i: int, j: int) -> float:
-        rng = _link_hash(self.seed, i, j, -1)
-        return float(rng.uniform(0.0, 2.0 * np.pi))
-
     def factor(self, i: int, j: int, t: float) -> float:
         """Multiplicative capacity factor for link ``i → j`` at time ``t``.
 
@@ -78,15 +103,14 @@ class FluctuationModel:
         """
         if i == j:
             return 1.0
-        bucket = int(np.floor(t / self.noise_period_s))
+        bucket = math.floor(t / self.noise_period_s)
         frac = t / self.noise_period_s - bucket
-        n0 = self._noise_at_bucket(i, j, bucket)
-        n1 = self._noise_at_bucket(i, j, bucket + 1)
+        n0 = _normal_draw(self.seed, i, j, bucket, self.sigma)
+        n1 = _normal_draw(self.seed, i, j, bucket + 1, self.sigma)
         noise = n0 * (1.0 - frac) + n1 * frac
-        diurnal = self.diurnal_amplitude * np.sin(
-            2.0 * np.pi * t / DAY_S + self._phase(i, j)
-        )
-        return float(np.clip(1.0 + noise + diurnal, self.floor, self.ceiling))
+        phase = _uniform_draw(self.seed, i, j, -1, 0.0, 2.0 * np.pi)
+        diurnal = self.diurnal_amplitude * np.sin(2.0 * np.pi * t / DAY_S + phase)
+        return float(min(max(1.0 + noise + diurnal, self.floor), self.ceiling))
 
     def snapshot_jitter(self, i: int, j: int, t: float, window_s: float) -> float:
         """Extra multiplicative jitter for very short probes.
@@ -100,7 +124,7 @@ class FluctuationModel:
             return 1.0
         scale = self.sigma * 0.6 * (1.0 - window_s / 20.0)
         rng = _link_hash(self.seed ^ 0x5EED, i, j, int(t * 1000) % (1 << 31))
-        return float(np.clip(1.0 + rng.normal(0.0, scale), 0.5, 1.5))
+        return min(max(1.0 + float(rng.normal(0.0, scale)), 0.5), 1.5)
 
 
 @dataclass(frozen=True)

@@ -338,39 +338,41 @@ class NetworkSimulator:
         self._progress()
 
         pairs = sorted(self._active.keys())
-        flows = []
-        caps_by_src: dict[str, float] = {}
+        topology = self.topology
+        # The connection plan is kept in topology order, so a pair's
+        # indices address it directly.
+        counts = self._connections.values
+        # Per-VM congestion: a DC juggling many active streams loses
+        # effective NIC throughput (see tcp.vm_efficiency).  Counted per
+        # VM so association (more VMs per DC) raises the knee.
+        out_conns = [0] * topology.n
+        in_conns = [0] * topology.n
+        caps_by_src: dict[int, float] = {}
         specs = []
         for src, dst in pairs:
-            k = int(self._connections.get(src, dst))
-            rtt = self.topology.rtt_ms(src, dst)
+            i, j = topology.index(src), topology.index(dst)
+            rtt = topology.rtt_ms(src, dst)
+            k = int(counts[i, j])
             cap = self.pair_capacity(src, dst, k)
-            specs.append((src, dst, k, rtt, cap))
-            caps_by_src[src] = caps_by_src.get(src, 0.0) + cap
-        for src, dst, k, rtt, cap in specs:
-            i, j = self.topology.index(src), self.topology.index(dst)
-            weight = self.topology.tcp.rtt_weight(rtt, k, self.knee)
+            specs.append((i, j, k, rtt, cap))
+            caps_by_src[i] = caps_by_src.get(i, 0.0) + cap
+            out_conns[i] += k
+            in_conns[j] += k
+        flows = []
+        for i, j, k, rtt, cap in specs:
+            weight = topology.tcp.rtt_weight(rtt, k, self.knee)
             # Congestion RTT bias: overloaded senders squeeze their
             # long-RTT flows harder than fair weighting would.
-            egress = self.topology.dcs[i].egress_cap_mbps
-            overload = max(0.0, caps_by_src[src] / max(egress, _EPS) - 1.0)
+            egress = topology.dcs[i].egress_cap_mbps
+            overload = max(0.0, caps_by_src[i] / max(egress, _EPS) - 1.0)
             if overload > 0:
                 weight /= 1.0 + (
                     CONGESTION_RTT_BIAS * overload * rtt / _RTT_NORM_MS
                 )
             flows.append(PairFlow(i, j, weight=weight, cap=cap))
-        # Per-VM congestion: a DC juggling many active streams loses
-        # effective NIC throughput (see tcp.vm_efficiency).  Counted per
-        # VM so association (more VMs per DC) raises the knee.
-        out_conns = {i: 0 for i in range(self.topology.n)}
-        in_conns = {j: 0 for j in range(self.topology.n)}
-        for src, dst in pairs:
-            k = int(self._connections.get(src, dst))
-            out_conns[self.topology.index(src)] += k
-            in_conns[self.topology.index(dst)] += k
         egress = []
         ingress = []
-        for i, dc in enumerate(self.topology.dcs):
+        for i, dc in enumerate(topology.dcs):
             egress.append(
                 dc.egress_cap_mbps
                 * tcp.vm_efficiency(out_conns[i] // max(1, dc.num_vms))

@@ -5,7 +5,64 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.net.dynamics import FluctuationModel, StaticModel
+from repro.net.dynamics import (
+    FluctuationModel,
+    StaticModel,
+    _link_hash,
+    _normal_draw,
+    _uniform_draw,
+)
+from weather_reference import uncached_weather
+
+
+def reference_factor(model: FluctuationModel, i: int, j: int, t: float) -> float:
+    """``FluctuationModel.factor`` without memoization: a fresh
+    generator per draw, numpy floor and clip."""
+    if i == j:
+        return 1.0
+    return uncached_weather(model, i, j, t)
+
+
+def reference_jitter(
+    model: FluctuationModel, i: int, j: int, t: float, window_s: float
+) -> float:
+    """``FluctuationModel.snapshot_jitter`` without memoization."""
+    if window_s >= 20.0:
+        return 1.0
+    scale = model.sigma * 0.6 * (1.0 - window_s / 20.0)
+    rng = _link_hash(model.seed ^ 0x5EED, i, j, int(t * 1000) % (1 << 31))
+    return float(np.clip(1.0 + rng.normal(0.0, scale), 0.5, 1.5))
+
+
+#: Non-default weather models: seed, noise scale, grid, daily cycle
+#: and clamp bounds all vary.
+models = st.builds(
+    FluctuationModel,
+    seed=st.integers(min_value=0, max_value=2**20),
+    sigma=st.floats(min_value=0.01, max_value=1.5),
+    diurnal_amplitude=st.floats(min_value=0.0, max_value=0.5),
+    noise_period_s=st.sampled_from([1.0, 7.5, 60.0, 300.0, 3600.0]),
+    floor=st.floats(min_value=0.05, max_value=0.9),
+    ceiling=st.floats(min_value=1.1, max_value=3.0),
+)
+links = st.tuples(
+    st.integers(min_value=0, max_value=9), st.integers(min_value=0, max_value=9)
+)
+
+
+@st.composite
+def times(draw, period: float) -> float:
+    """Arbitrary times, exact noise-bucket boundaries (and their float
+    neighbours), negative times and large offsets."""
+    kind = draw(st.sampled_from(["any", "boundary", "large"]))
+    if kind == "any":
+        return draw(st.floats(min_value=-1e6, max_value=1e6))
+    if kind == "boundary":
+        edge = draw(st.integers(min_value=-5000, max_value=5000)) * period
+        return float(edge + draw(st.sampled_from([-1e-9, 0.0, 1e-9])))
+    return draw(st.floats(min_value=1e8, max_value=5e9)) * draw(
+        st.sampled_from([-1.0, 1.0])
+    )
 
 
 class TestDeterminism:
@@ -74,6 +131,54 @@ class TestSnapshotJitter:
         }
         assert len(jitters) > 10  # actually varies
         assert all(0.5 <= j <= 1.5 for j in jitters)
+
+
+class TestMemoizedParity:
+    """The cached draws return exactly what a fresh generator does."""
+
+    @given(models, links, st.data())
+    def test_factor_equals_unmemoized_reference(self, model, link, data):
+        i, j = link
+        t = data.draw(times(model.noise_period_s))
+        # Twice: the first call may fill the caches, the second hits them.
+        assert model.factor(i, j, t) == reference_factor(model, i, j, t)
+        assert model.factor(i, j, t) == reference_factor(model, i, j, t)
+
+    @given(models, links, st.data(), st.floats(min_value=0.0, max_value=25.0))
+    def test_jitter_equals_unmemoized_reference(self, model, link, data, window):
+        i, j = link
+        t = data.draw(times(model.noise_period_s))
+        expected = reference_jitter(model, i, j, t, window)
+        assert model.snapshot_jitter(i, j, t, window) == expected
+        assert model.snapshot_jitter(i, j, t, window) == expected
+
+    def test_models_differing_only_in_sigma_do_not_share_draws(self):
+        calm = FluctuationModel(seed=11, sigma=0.05, diurnal_amplitude=0.0)
+        rough = FluctuationModel(seed=11, sigma=0.4, diurnal_amplitude=0.0)
+        for t in (10.0, 350.0, 2000.0):
+            # Same generator, different scale: the noise term scales.
+            calm_noise = calm.factor(0, 1, t) - 1.0
+            rough_noise = rough.factor(0, 1, t) - 1.0
+            assert rough_noise != calm_noise
+            assert rough.factor(0, 1, t) == reference_factor(rough, 0, 1, t)
+            assert calm.factor(0, 1, t) == reference_factor(calm, 0, 1, t)
+
+    def test_caches_stay_within_their_bounds(self):
+        m = FluctuationModel(seed=3)
+        noise_max = _normal_draw.cache_info().maxsize
+        for bucket in range(noise_max + 50):
+            m.factor(0, 1, bucket * m.noise_period_s + 1.0)
+        uniform_max = _uniform_draw.cache_info().maxsize
+        side = int(np.ceil(np.sqrt(uniform_max + 50)))
+        for i in range(side):
+            for j in range(side):
+                m.factor(i, j, 0.0)
+        for cached in (_normal_draw, _uniform_draw):
+            info = cached.cache_info()
+            assert info.maxsize is not None
+            assert info.currsize <= info.maxsize
+        assert _normal_draw.cache_info().currsize == noise_max
+        assert _uniform_draw.cache_info().currsize == uniform_max
 
 
 class TestStaticModel:

@@ -88,3 +88,28 @@ class TestSubset:
     def test_all_paper_regions_buildable(self):
         topo = Topology.build(PAPER_REGIONS)
         assert topo.keys == PAPER_REGIONS
+
+
+class TestIndex:
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda topo: topo,
+            lambda topo: topo.subset(("sa-east-1", "us-east-1", "eu-west-1")),
+            lambda topo: topo.with_extra_vms({"us-west-1": 2}),
+        ],
+        ids=["build", "subset", "with_extra_vms"],
+    )
+    def test_index_follows_dc_order(self, full_topology, make):
+        topo = make(full_topology)
+        for position, dc in enumerate(topo.dcs):
+            assert topo.index(dc.key) == position
+            assert topo.dc(dc.key) is dc
+
+    def test_unknown_key_names_the_known_keys(self, triad):
+        with pytest.raises(KeyError) as caught:
+            triad.index("nowhere-1")
+        message = str(caught.value)
+        assert "nowhere-1" in message
+        for key in triad.keys:
+            assert key in message

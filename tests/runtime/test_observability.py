@@ -5,6 +5,8 @@ import urllib.error
 import urllib.request
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.cli import main
 from repro.net.dynamics import StaticModel
@@ -12,6 +14,7 @@ from repro.net.monitor import WanMonitor
 from repro.net.simulator import NetworkSimulator
 from repro.runtime.drift import ReplanEvent
 from repro.runtime.observability import (
+    GRAINS,
     REQUIRED_METRIC_FAMILIES,
     EventTrace,
     KpiReport,
@@ -156,6 +159,24 @@ class TestRollupMath:
         log.observe(90.0, "a", "b", 10.0)  # 2nd 1m/10m bucket? no: 10m same
         # 1m: buckets 0 and 60 → 2 rows; 10m: 1 row; 1h: 1 row.
         assert log.rollup_rows() == 4
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.floats(min_value=0.0, max_value=8000.0),
+                st.sampled_from("abc"),
+                st.sampled_from("abc"),
+                st.floats(min_value=0.0, max_value=200.0),
+            ),
+            max_size=60,
+        )
+    )
+    def test_rollup_rows_counts_the_rows_rollup_builds(self, samples):
+        log = capped_log()
+        for time, src, dst, rate in sorted(samples):
+            log.observe(time, src, dst, rate)
+        counted = log.rollup_rows()
+        assert counted == sum(len(log.rollup(grain)) for grain in GRAINS)
 
     def test_merge_link_rollups_totals(self):
         log = capped_log()

@@ -1,19 +1,139 @@
 """Tests for the bandwidth-dynamics scenario library."""
 
-import pytest
+import dataclasses
 
-from repro.net.dynamics import FluctuationModel, StaticModel
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from repro.net.circuits import flap_quality, select_path
+from repro.net.dynamics import FluctuationModel, StaticModel, _link_hash
 from repro.net.simulator import NetworkSimulator
 from repro.runtime.scenarios import (
+    _SELECT_SALT,
     FACTOR_FLOOR,
     SCENARIOS,
+    CircuitFailover,
+    ComposedScenario,
     DiurnalSwing,
+    FlappingLink,
     FlashCrowd,
     LinkDegradation,
+    PathPolicySwitch,
     ScenarioModel,
     StepDrop,
+    _ramp,
     scenario,
     scenario_names,
+)
+from weather_reference import uncached_weather
+
+
+def reference_base(base, i: int, j: int, t: float) -> float:
+    """Base weather without memoization (a fresh generator per draw)."""
+    if isinstance(base, StaticModel) or i == j:
+        return 1.0
+    return uncached_weather(base, i, j, t)
+
+
+def reference_shape(part: ScenarioModel, i: int, j: int, t: float) -> float:
+    """Every built-in scenario shape, its per-link values drawn from a
+    fresh generator each call."""
+
+    def draw(bucket: int, low: float = 0.0, high: float = 1.0) -> float:
+        rng = _link_hash(part.seed ^ _SELECT_SALT, i, j, bucket)
+        return float(rng.uniform(low, high))
+
+    def selected(fraction: float) -> bool:
+        if fraction >= 1.0:
+            return True
+        if fraction <= 0.0:
+            return False
+        rng = _link_hash(part.seed ^ _SELECT_SALT, i, j, -3)
+        return bool(rng.uniform() < fraction)
+
+    if isinstance(part, ComposedScenario):
+        combined = 1.0
+        for member in part.parts:
+            combined *= reference_shape(member, i, j, t)
+        return combined
+    if isinstance(part, DiurnalSwing):
+        phase = draw(-4, -part.phase_spread, part.phase_spread)
+        wave = np.sin(2.0 * np.pi * t / part.period_s + phase)
+        return 1.0 - part.amplitude * (0.5 + 0.5 * wave)
+    if isinstance(part, FlashCrowd):
+        if not selected(part.hit_fraction):
+            return 1.0
+        onset = _ramp(t, part.start_s, part.ramp_s)
+        recovery = _ramp(t, part.start_s + part.duration_s, part.ramp_s)
+        return 1.0 - (1.0 - part.depth) * max(0.0, onset - recovery)
+    if isinstance(part, LinkDegradation):
+        hit = (i, j) in part.links if part.links else selected(part.hit_fraction)
+        if not hit:
+            return 1.0
+        return 1.0 - (1.0 - part.residual) * _ramp(t, part.start_s, part.ramp_s)
+    if isinstance(part, StepDrop):
+        return part.level if t >= part.at_s else 1.0
+    if isinstance(part, CircuitFailover):
+        if not selected(part.hit_fraction):
+            return 1.0
+        fail_at = part.fail_at_s
+        if part.spread_s > 0.0:
+            fail_at += draw(-5, -part.spread_s, part.spread_s)
+        return part.circuit.quality_at(t - fail_at)[0]
+    if isinstance(part, FlappingLink):
+        if t < part.start_s or not selected(part.hit_fraction):
+            return 1.0
+        return flap_quality(
+            t - part.start_s,
+            part.period_s,
+            part.duty,
+            up_quality=1.0,
+            down_quality=part.down_quality,
+            phase_s=draw(-6, 0.0, part.period_s),
+        )
+    if isinstance(part, PathPolicySwitch):
+        primary = reference_base(part.base, i, j, t)
+        if select_path(primary, part.min_capacity_fraction) == "primary":
+            return 1.0
+        return part.secondary_quality / max(primary, FACTOR_FLOOR)
+    assert type(part) is ScenarioModel, f"no reference for {type(part)}"
+    return 1.0
+
+
+def reference_factor(model: ScenarioModel, i: int, j: int, t: float) -> float:
+    """``ScenarioModel.factor`` without memoization."""
+    if i == j:
+        return 1.0
+    combined = reference_base(model.base, i, j, t) * reference_shape(model, i, j, t)
+    return float(max(combined, FACTOR_FLOOR))
+
+
+#: Every name registered at import (the built-ins), the advertised
+#: compositions, and arbitrary ``+``-joins of the built-ins.
+ATOMIC_NAMES = scenario_names()
+scenario_spellings = st.one_of(
+    st.sampled_from(scenario_names(include_composed=True)),
+    st.lists(st.sampled_from(ATOMIC_NAMES), min_size=2, max_size=3).map("+".join),
+)
+weather = st.one_of(
+    st.just(None),
+    st.builds(
+        FluctuationModel,
+        seed=st.integers(min_value=0, max_value=2**16),
+        sigma=st.floats(min_value=0.01, max_value=1.0),
+        noise_period_s=st.sampled_from([30.0, 300.0, 900.0]),
+    ),
+)
+scenario_times = st.one_of(
+    st.floats(min_value=-5000.0, max_value=2e5),
+    st.floats(min_value=0.0, max_value=2500.0),  # the scenarios' events
+    st.integers(min_value=-20, max_value=400).map(lambda k: k * 150.0),
+    st.floats(min_value=1e8, max_value=1e9),
+)
+links = st.tuples(
+    st.integers(min_value=0, max_value=7), st.integers(min_value=0, max_value=7)
 )
 
 
@@ -112,6 +232,73 @@ class TestShapes:
         assert model.snapshot_jitter(0, 1, 10.0, 1.0) == base.snapshot_jitter(
             0, 1, 10.0, 1.0
         )
+
+
+class TestMemoizedParity:
+    """Memoized per-link draws change no scenario value."""
+
+    @given(
+        scenario_spellings,
+        st.integers(min_value=0, max_value=2**16),
+        weather,
+        links,
+        scenario_times,
+        st.floats(min_value=0.5, max_value=25.0),
+    )
+    def test_factor_and_jitter_equal_unmemoized_reference(
+        self, name, seed, base, link, t, window
+    ):
+        model = scenario(name, seed=seed, base=base)
+        i, j = link
+        for _ in range(2):  # cold caches, then warm ones
+            assert model.factor(i, j, t) == reference_factor(model, i, j, t)
+        jitter = model.snapshot_jitter(i, j, t, window)
+        assert jitter == model.base.snapshot_jitter(i, j, t, window)
+
+    @given(
+        st.integers(min_value=0, max_value=2**16),
+        links,
+        scenario_times,
+        st.floats(min_value=0.0, max_value=1.5),
+        st.floats(min_value=0.0, max_value=300.0),
+        st.floats(min_value=1.0, max_value=600.0),
+        st.floats(min_value=0.0, max_value=1.0),
+    )
+    def test_non_default_per_link_parameters(
+        self, seed, link, t, spread, jitter_s, period, fraction
+    ):
+        i, j = link
+        models = [
+            DiurnalSwing(StaticModel(), seed, phase_spread=spread),
+            CircuitFailover(
+                StaticModel(), seed, spread_s=jitter_s, hit_fraction=fraction
+            ),
+            FlappingLink(
+                StaticModel(), seed, start_s=0.0, period_s=period, hit_fraction=fraction
+            ),
+            FlashCrowd(StaticModel(), seed, hit_fraction=fraction),
+        ]
+        for model in models:
+            assert model.factor(i, j, t) == reference_factor(model, i, j, t)
+
+    @pytest.mark.parametrize("name", scenario_names(include_composed=True))
+    def test_event_window_grid(self, name):
+        """Every built-in scenario over its event window (ramps,
+        failovers, flaps, steps at 300–1800 s) on a dense grid, where
+        a wrong per-link offset or phase shows."""
+        model = scenario(name, seed=13)
+        links = [(i, j) for i in range(4) for j in range(4) if i != j]
+        for t in np.arange(250.0, 1900.0, 9.7):
+            for i, j in links:
+                assert model.factor(i, j, t) == reference_factor(model, i, j, t)
+
+    def test_per_link_draws_keyed_by_their_bounds(self):
+        narrow = DiurnalSwing(StaticModel(), seed=4, phase_spread=0.1)
+        wide = dataclasses.replace(narrow, phase_spread=1.4)
+        t = 5000.0
+        assert narrow.factor(0, 1, t) != wide.factor(0, 1, t)
+        for model in (narrow, wide):
+            assert model.factor(0, 1, t) == reference_factor(model, 0, 1, t)
 
 
 class TestPluggableIntoSimulator:
