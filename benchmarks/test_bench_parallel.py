@@ -117,7 +117,6 @@ def _in_process_drain(entries) -> tuple[dict, float]:
         TIER_REGIONS,
         "t2.medium",
         fluctuation=FluctuationModel(seed=3),
-        kernel="vectorized",
     )
     scheduler = ShardedScheduler(
         cluster,
@@ -143,7 +142,6 @@ def _tier_tasks(entries):
         profile="vpc-peering",
         scenario=None,
         seed=3,
-        kernel="vectorized",
         admission="deadline-edf",
         default_policy="tetrium",
         max_concurrent=TIER_CONCURRENT,

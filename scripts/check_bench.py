@@ -64,7 +64,6 @@ WALL_CLOCK = {
     "tuner_cells_per_s": +1,
     "sim_events_per_s": +1,
     "net_events_per_s": +1,
-    "sim_kernel_speedup": +1,
     "sharded_jobs_per_wall_s": +1,
     "parallel_speedup": +1,
     "parallel_jobs_per_wall_s": +1,

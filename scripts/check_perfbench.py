@@ -1,11 +1,12 @@
 #!/usr/bin/env python
-"""Fail unless a perfbench run reports ``correct: true``.
+"""Fail unless every benchmark workload reports ``correct: true``.
 
 ``perfbench/run.py`` always exits 0 and reports its verdict in the
-last line of standard output, a JSON object.  This wrapper runs it,
-echoes its output, and turns that verdict into an exit status, so a CI
-step fails when a run breaks a correctness check.  It makes the traced
-service-drift pass (seed 1, 6 s), which guards:
+last line of standard output, a JSON object.  This wrapper makes the
+traced pass (seed 1, 6 s) of every workload ``BENCHMARK.json`` names,
+echoes each run's output, and turns the verdicts into an exit status,
+so a CI step fails when any run breaks a correctness check.  Each run
+guards:
 
 * parity with the committed simulated outcomes (``reference``);
 * tracing being observation-only (traced == untraced outcomes);
@@ -25,14 +26,23 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 
-COMMAND = [
-    sys.executable,
-    str(REPO / "perfbench" / "run.py"),
-    "--workload", "service-drift",
-    "--seed", "1",
-    "--seconds", "6",
-    "--trace", "1",
-]
+
+def workloads() -> list[str]:
+    """The workload names ``BENCHMARK.json`` declares, in its order."""
+    spec = json.loads((REPO / "BENCHMARK.json").read_text())
+    return [workload["name"] for workload in spec["workloads"]]
+
+
+def command(workload: str) -> list[str]:
+    """The traced seed-1, 6 s perfbench run of ``workload``."""
+    return [
+        sys.executable,
+        str(REPO / "perfbench" / "run.py"),
+        "--workload", workload,
+        "--seed", "1",
+        "--seconds", "6",
+        "--trace", "1",
+    ]
 
 
 def verdict(stdout: str) -> dict:
@@ -46,22 +56,32 @@ def verdict(stdout: str) -> dict:
     return result
 
 
-def main() -> int:
-    run = subprocess.run(COMMAND, cwd=REPO, capture_output=True, text=True)
+def check(workload: str) -> str | None:
+    """Run one workload; the reason it failed, or ``None``."""
+    run = subprocess.run(command(workload), cwd=REPO, capture_output=True, text=True)
     sys.stdout.write(run.stdout)
     sys.stderr.write(run.stderr)
     if run.returncode != 0:
-        print(f"perfbench check FAILED: run.py exited {run.returncode}")
-        return 1
+        return f"run.py exited {run.returncode}"
     try:
         result = verdict(run.stdout)
     except ValueError as exc:
-        print(f"perfbench check FAILED: {exc}")
-        return 1
+        return str(exc)
     if result["correct"] is not True:
-        print("perfbench check FAILED: correct is not true (see the check lines above)")
+        return "correct is not true (see the check lines above)"
+    return None
+
+
+def main() -> int:
+    failed = []
+    for workload in workloads():
+        reason = check(workload)
+        if reason is not None:
+            print(f"perfbench check FAILED on {workload}: {reason}")
+            failed.append(workload)
+    if failed:
         return 1
-    print("perfbench check passed (traced service-drift, seed 1)")
+    print(f"perfbench check passed (traced, seed 1): {', '.join(workloads())}")
     return 0
 
 

@@ -10,7 +10,8 @@ Two workloads, selected with ``--mode``:
   math stripped out).
 * ``network`` — a crowded single-pair ``NetworkSimulator`` drain with
   strictly increasing transfer sizes, so every completion re-shares
-  the surviving crowd (the transfer kernel's worst case).
+  the surviving crowd (one array-backed bucket, the transfer store's
+  crowded case).
 
 Prints a ``tottime``-sorted table and, with ``--output``, writes the
 same rows as JSON for tooling::
@@ -61,14 +62,14 @@ def _kernel_workload(n_transfers: int) -> Simulator:
     return sim
 
 
-def _network_workload(n_transfers: int, kernel: str) -> Simulator:
+def _network_workload(n_transfers: int) -> Simulator:
     """Drain one crowded WAN pair through the NetworkSimulator."""
     from repro.net.dynamics import StaticModel
     from repro.net.simulator import NetworkSimulator
     from repro.net.topology import Topology
 
     topology = Topology.build(("us-east-1", "us-west-1"), "t2.medium")
-    net = NetworkSimulator(topology, fluctuation=StaticModel(), kernel=kernel)
+    net = NetworkSimulator(topology, fluctuation=StaticModel())
     for i in range(n_transfers):
         net.start_transfer("us-east-1", "us-west-1", 100.0 + 0.25 * i)
     net.sim.run()
@@ -110,12 +111,6 @@ def main(argv: list[str] | None = None) -> int:
         "practical sizes around a few thousand)",
     )
     parser.add_argument(
-        "--kernel",
-        choices=("scalar", "vectorized"),
-        default="vectorized",
-        help="transfer-advancement kernel for network mode",
-    )
-    parser.add_argument(
         "--top", type=int, default=20, help="profile rows to report"
     )
     parser.add_argument(
@@ -133,7 +128,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.mode == "kernel":
         sim = _kernel_workload(args.transfers)
     else:
-        sim = _network_workload(args.transfers, args.kernel)
+        sim = _network_workload(args.transfers)
     profiler.disable()
 
     stats = pstats.Stats(profiler)

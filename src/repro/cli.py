@@ -129,14 +129,6 @@ def _check_registered(config: object, out: IO[str]) -> bool:
                 f"known: {', '.join(registry.names())}\n"
             )
             return False
-    # Not registry-backed, but the same bad-name contract: the transfer
-    # kernel accepts exactly the simulator's KERNELS tuple.
-    from repro.net.simulator import KERNELS
-
-    kernel = getattr(config, "kernel", None)
-    if kernel is not None and kernel not in KERNELS:
-        out.write(f"unknown kernel {kernel!r}; known: {', '.join(KERNELS)}\n")
-        return False
     return True
 
 

@@ -37,7 +37,6 @@ class GeoCluster:
         time_offset: float = 0.0,
         prices: Optional[PriceBook] = None,
         profile: NetworkProfile = VPC_PEERING,
-        kernel: str = "scalar",
     ) -> "GeoCluster":
         """Build a cluster with a fresh simulator."""
         topology = Topology.build(region_keys, vm_key, vms_per_dc, profile)
@@ -45,7 +44,6 @@ class GeoCluster:
             topology,
             fluctuation=fluctuation,
             time_offset=time_offset,
-            kernel=kernel,
         )
         return cls(topology, network, prices or PriceBook())
 
@@ -56,7 +54,6 @@ class GeoCluster:
         fluctuation: Optional[FluctuationModel | StaticModel] = None,
         time_offset: float = 0.0,
         prices: Optional[PriceBook] = None,
-        kernel: str = "scalar",
     ) -> "GeoCluster":
         """Build a cluster around an existing topology (keeps its
         profile and VM layout)."""
@@ -64,7 +61,6 @@ class GeoCluster:
             topology,
             fluctuation=fluctuation,
             time_offset=time_offset,
-            kernel=kernel,
         )
         return cls(topology, network, prices or PriceBook())
 

@@ -1,195 +1,76 @@
-"""Vectorized batch advancement of concurrent transfers.
+"""The simulator's transfer store: per-pair buckets that advance together.
 
-The scalar :class:`~repro.net.simulator.NetworkSimulator` hot path
-touches every active transfer from Python on every simulator step:
-progress accrual, rate assignment, next-completion ETA, and finished
-scanning are each an interpreted loop over the transfer objects.  With
-thousands of concurrent transfers per pair that is quadratic end to
-end — every completion event re-walks the whole population four times.
+Every transfer in flight lives in exactly one bucket — one per ordered
+DC pair, plus one for intra-DC (LAN) traffic.  Transfers multiplexed on
+a pair all move at the pair's allocated rate split *equally*, so a
+bucket needs one per-transfer ``share``, not one rate per transfer:
+progress is ``transferred = min(size, transferred + share·dt)``, the
+next completion is ``min(size - transferred) / share``, and finished
+transfers are those within :data:`FINISH_EPS` of their size.
 
-This module is the batched alternative, selected by
-``ServiceConfig.kernel = "vectorized"`` (``NetworkSimulator(...,
-kernel="vectorized")``).  Transfers multiplexed on one pair all share
-the pair's allocated rate *equally*, so a whole bucket advances as one
-numpy vector: progress is ``transferred = minimum(size, transferred +
-share·dt)``, the next completion is ``min(size - transferred) /
-share``, and finished transfers fall out of one boolean mask.  The
-per-element arithmetic is exactly the scalar path's (same operations,
-same order), so a vectorized run reproduces scalar per-transfer
-completion times — the parity contract
-``tests/net/test_batch_parity.py`` enforces at 1e-6.
+A bucket picks its representation from its observed size:
 
-Progressive-filling rate allocation has an array-wise twin too
-(:func:`allocate_batch`), used by the vectorized simulator in place of
-:func:`repro.net.sharing.allocate`.
+* at or below :data:`SMALL_BUCKET` transfers it keeps plain per-object
+  arithmetic — the transfer objects are authoritative, and the loops
+  are inlined into :class:`VectorKernel`'s walks, because most pairs
+  carry a handful of transfers and numpy's fixed per-call overhead
+  would dominate them;
+* above it the bucket holds numpy ``size`` / ``transferred`` arrays
+  and advances as one vector, so a crowded pair costs a few numpy
+  calls per event instead of a Python loop over its population.
 
-Two fallbacks keep the kernel safe to enable anywhere:
-
-* numpy is imported lazily through :func:`load_numpy`; when it is
-  absent the simulator emits one warning, records
-  ``kernel_fallback=True``, and runs the scalar path;
-* buckets at or below :data:`SMALL_BUCKET` transfers keep plain
-  per-object arithmetic — array overhead only pays for itself on
-  crowded pairs, and the small-bucket path leaves the transfer objects
-  authoritative exactly like the scalar kernel.
+Both representations evaluate the same per-element expressions in the
+same order, so which one a bucket uses never changes a completion time
+or a delivered megabit; ``tests/net/test_batch_parity.py`` pins the
+outcomes of six weather scenarios to a committed golden file.
 
 While a bucket is array-backed its transfer objects' ``rate_mbps`` /
-``transferred_mbits`` fields go stale by design; the simulator calls
-:meth:`VectorKernel.sync_objects` before handing transfers to
-observers (the bandwidth governor reads per-transfer rates off
+``transferred_mbits`` fields go stale by design; eviction writes them
+back, and the simulator calls :meth:`VectorKernel.sync_objects` before
+handing transfers to observers (the bandwidth governor reads
+per-transfer rates off
 :meth:`~repro.net.simulator.NetworkSimulator.active_transfers`).
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Hashable
+from typing import TYPE_CHECKING
+
+import numpy as np
 
 if TYPE_CHECKING:
-    from repro.net.sharing import PairFlow
     from repro.net.simulator import Transfer
 
-__all__ = [
-    "SMALL_BUCKET",
-    "VectorKernel",
-    "allocate_batch",
-    "load_numpy",
-]
+__all__ = ["FINISH_EPS", "SMALL_BUCKET", "VectorKernel"]
 
 #: Buckets at or below this many transfers stay on per-object
-#: arithmetic — numpy array overhead only pays off beyond it.
-SMALL_BUCKET = 2
+#: arithmetic — numpy array overhead only pays off beyond it.  Measured
+#: break-even: one bucket's per-event work costs about 1 µs per
+#: transfer per-object against a flat ~10 µs as arrays; perfbench's
+#: batch-drain (buckets of 1–8) ran 7 % slower at a threshold of 2.
+SMALL_BUCKET = 8
 
-#: Remaining-payload slop below which a transfer counts as finished
-#: (mirrors the simulator's completion scan).
+#: Remaining-payload slop below which a transfer counts as finished.
 FINISH_EPS = 1e-6
-
-_EPS = 1e-9
-
-
-def load_numpy():
-    """The numpy module, or ``None`` when the import fails.
-
-    Deliberately lazy (a function, not a module-level import): the
-    vectorized kernel must degrade to the scalar path — with a single
-    warning, not a crash — in environments without numpy, and the
-    fallback test hides numpy via ``sys.modules`` patching, which only
-    intercepts *new* imports.
-    """
-    try:
-        import numpy
-    except ImportError:
-        return None
-    return numpy
-
-
-def allocate_batch(
-    flows: list["PairFlow"],
-    egress_caps: list[float],
-    ingress_caps: list[float],
-    np=None,
-) -> list[float]:
-    """Array-wise weighted progressive filling.
-
-    Same fixed point as :func:`repro.net.sharing.allocate` — raise a
-    water level, freeze flows at their caps or behind saturated NICs —
-    with the per-iteration bookkeeping done on numpy arrays
-    (``bincount`` aggregates the per-resource weights and gains).
-    Falls back to the scalar implementation when numpy is unavailable.
-    """
-    if np is None:
-        np = load_numpy()
-    if np is None:
-        from repro.net.sharing import allocate
-
-        return allocate(flows, egress_caps, ingress_caps)
-    n_flows = len(flows)
-    if n_flows == 0:
-        return []
-    src = np.array([flow.src for flow in flows], dtype=np.intp)
-    dst = np.array([flow.dst for flow in flows], dtype=np.intp)
-    weight = np.array([flow.weight for flow in flows], dtype=float)
-    cap = np.array([flow.cap for flow in flows], dtype=float)
-    rates = np.zeros(n_flows)
-    frozen = cap <= _EPS
-    remaining_egress = np.array(egress_caps, dtype=float)
-    remaining_ingress = np.array(ingress_caps, dtype=float)
-    n_egress = len(egress_caps)
-    n_ingress = len(ingress_caps)
-
-    while True:
-        active = ~frozen
-        if not active.any():
-            break
-        active_weight = np.where(active, weight, 0.0)
-        egress_weight = np.bincount(
-            src, weights=active_weight, minlength=n_egress
-        )
-        ingress_weight = np.bincount(
-            dst, weights=active_weight, minlength=n_ingress
-        )
-
-        # Largest permissible water-level increment.
-        delta = float(((cap - rates)[active] / weight[active]).min())
-        used = egress_weight > 0
-        if used.any():
-            delta = min(
-                delta,
-                float((remaining_egress[used] / egress_weight[used]).min()),
-            )
-        used = ingress_weight > 0
-        if used.any():
-            delta = min(
-                delta,
-                float(
-                    (remaining_ingress[used] / ingress_weight[used]).min()
-                ),
-            )
-        if delta == float("inf"):
-            break
-        delta = max(delta, 0.0)
-
-        gain = np.where(active, weight * delta, 0.0)
-        rates += gain
-        remaining_egress -= np.bincount(src, weights=gain, minlength=n_egress)
-        remaining_ingress -= np.bincount(
-            dst, weights=gain, minlength=n_ingress
-        )
-
-        # Freeze flows at their caps and flows through saturated NICs.
-        at_cap = active & (rates >= cap - _EPS)
-        frozen |= at_cap
-        still_active = ~frozen
-        saturated = still_active & (
-            (remaining_egress[src] <= _EPS)
-            | (remaining_ingress[dst] <= _EPS)
-        )
-        frozen |= saturated
-        if not (at_cap.any() or saturated.any()):
-            # Numerical guard: nothing froze despite a finite delta.
-            break
-
-    return [float(rate) for rate in np.clip(rates, 0.0, cap)]
 
 
 class _Bucket:
     """One pair's (or the LAN's) transfers advancing at a shared rate.
 
-    Invariant: ``arrays`` exist exactly when the population exceeds
-    :data:`SMALL_BUCKET`; while they exist, the arrays — not the
-    transfer objects — are authoritative for progress.
+    Invariant: ``size`` / ``transferred`` are arrays exactly when the
+    population exceeds :data:`SMALL_BUCKET`; while they exist, the
+    arrays — not the transfer objects — are authoritative for progress.
 
     ``fresh`` counts trailing members admitted since the last
-    :meth:`set_share`.  The scalar kernel leaves a new transfer at
-    ``rate_mbps = 0`` until the next reallocation assigns shares, so
-    the catch-up progress inside that reallocation must not advance it
-    — fresh members are excluded from progress, aggregate rate, and
-    completion ETA until shares land.
+    :meth:`set_share`.  A new transfer moves at rate 0 until the next
+    reallocation assigns shares, so the catch-up progress inside that
+    reallocation must not advance it — fresh members are excluded from
+    progress, aggregate rate, and completion ETA until shares land.
     """
 
-    __slots__ = ("np", "transfers", "share", "fresh", "size", "transferred")
+    __slots__ = ("transfers", "share", "fresh", "size", "transferred")
 
-    def __init__(self, np) -> None:
-        self.np = np
+    def __init__(self) -> None:
         self.transfers: list["Transfer"] = []
         #: Per-transfer rate (every member moves at the same share).
         self.share = 0.0
@@ -198,223 +79,193 @@ class _Bucket:
         self.size = None
         self.transferred = None
 
-    def __len__(self) -> int:
-        return len(self.transfers)
-
-    @property
-    def vectorized(self) -> bool:
-        """Whether the bucket is currently array-backed."""
-        return self.size is not None
-
-    def _build_arrays(self) -> None:
-        np = self.np
-        self.size = np.array(
-            [t.size_mbits for t in self.transfers], dtype=float
-        )
-        self.transferred = np.array(
-            [t.transferred_mbits for t in self.transfers], dtype=float
-        )
-
-    def _drop_arrays(self) -> None:
-        self.sync_objects()
-        self.size = None
-        self.transferred = None
-
     def add(self, transfer: "Transfer") -> None:
         """Admit one transfer (object state is current at this point)."""
-        self.transfers.append(transfer)
+        transfers = self.transfers
+        transfers.append(transfer)
         self.fresh += 1
-        if self.vectorized:
-            np = self.np
+        if self.size is not None:
             self.size = np.append(self.size, transfer.size_mbits)
             self.transferred = np.append(
                 self.transferred, transfer.transferred_mbits
             )
-        elif len(self.transfers) > SMALL_BUCKET:
-            self._build_arrays()
+        elif len(transfers) > SMALL_BUCKET:
+            self.size = np.array([t.size_mbits for t in transfers], dtype=float)
+            self.transferred = np.array(
+                [t.transferred_mbits for t in transfers], dtype=float
+            )
 
-    def remove(self, transfer: "Transfer") -> None:
-        """Evict one transfer, writing its progress back to the object."""
-        index = next(
-            (
-                i
-                for i, candidate in enumerate(self.transfers)
-                if candidate is transfer
-            ),
-            None,
-        )
-        if index is None:
-            return
-        was_fresh = index >= len(self.transfers) - self.fresh
-        del self.transfers[index]
+    def remove(self, transfer: "Transfer") -> bool:
+        """Evict one transfer, writing its progress back to the object.
+
+        Returns whether ``transfer`` was a member.
+        """
+        transfers = self.transfers
+        for index, candidate in enumerate(transfers):
+            if candidate is transfer:
+                break
+        else:
+            return False
+        was_fresh = index >= len(transfers) - self.fresh
+        del transfers[index]
         if was_fresh:
             self.fresh -= 1
-        if not self.vectorized:
-            return
+        if self.size is None:
+            return True
         transfer.transferred_mbits = float(self.transferred[index])
         if not was_fresh:
             transfer.rate_mbps = self.share
-        np = self.np
         self.size = np.delete(self.size, index)
         self.transferred = np.delete(self.transferred, index)
-        if len(self.transfers) <= SMALL_BUCKET:
-            self._drop_arrays()
+        if len(transfers) <= SMALL_BUCKET:
+            # Back to per-object arithmetic: objects become authoritative.
+            self.sync_objects()
+            self.size = None
+            self.transferred = None
+        return True
 
     def set_share(self, share: float) -> None:
         """Install the per-transfer rate for the current allocation."""
         self.share = share
         self.fresh = 0
-        if not self.vectorized:
+        if self.size is None:
             for transfer in self.transfers:
                 transfer.rate_mbps = share
 
-    def rate_total(self) -> float:
-        """Aggregate instantaneous rate of the bucket (Mbps)."""
-        if not self.vectorized:
-            return sum(t.rate_mbps for t in self.transfers)
-        return self.share * (len(self.transfers) - self.fresh)
-
     def progress(self, dt: float) -> None:
-        """Advance every rate-carrying member by ``dt`` seconds."""
-        if self.vectorized:
-            np = self.np
+        """Advance the rate-carrying members by ``dt`` (array-backed)."""
+        done = self.transferred
+        if self.fresh:
             limit = len(self.transfers) - self.fresh
             np.minimum(
                 self.size[:limit],
-                self.transferred[:limit] + self.share * dt,
-                out=self.transferred[:limit],
+                done[:limit] + self.share * dt,
+                out=done[:limit],
             )
         else:
-            for transfer in self.transfers:
-                transfer.transferred_mbits = min(
-                    transfer.size_mbits,
-                    transfer.transferred_mbits + transfer.rate_mbps * dt,
-                )
+            np.minimum(self.size, done + self.share * dt, out=done)
 
-    def min_eta(self) -> float:
-        """Seconds until the bucket's next completion (inf when idle)."""
-        if not self.vectorized:
-            eta = float("inf")
-            for transfer in self.transfers:
-                if transfer.rate_mbps > 0:
-                    eta = min(
-                        eta, transfer.remaining_mbits / transfer.rate_mbps
-                    )
-            return eta
-        limit = len(self.transfers) - self.fresh
-        if self.share <= 0 or limit <= 0:
-            return float("inf")
-        remaining = float(
-            (self.size[:limit] - self.transferred[:limit]).min()
-        )
-        return remaining / self.share
-
-    def finished(self) -> list["Transfer"]:
-        """Members whose remaining payload is within the finish slop."""
-        if self.vectorized:
-            mask = (self.size - self.transferred) <= FINISH_EPS
-            indices = self.np.nonzero(mask)[0]
-            if indices.size == 0:
-                return []
-            transfers = self.transfers
-            return [transfers[i] for i in indices]
-        return [
-            t
-            for t in self.transfers
-            if t.remaining_mbits <= FINISH_EPS
-        ]
+    def rate_total(self) -> float:
+        """Aggregate instantaneous rate of the bucket (Mbps)."""
+        if self.size is None:
+            return sum(t.rate_mbps for t in self.transfers)
+        return self.share * (len(self.transfers) - self.fresh)
 
     def sync_objects(self) -> None:
         """Write array progress and rates back to the transfer objects."""
-        if not self.vectorized:
+        if self.size is None:
             return
         limit = len(self.transfers) - self.fresh
-        for index, transfer in enumerate(self.transfers):
-            transfer.transferred_mbits = float(self.transferred[index])
+        share = self.share
+        for index, (transfer, done) in enumerate(
+            zip(self.transfers, self.transferred.tolist())
+        ):
+            transfer.transferred_mbits = done
             if index < limit:
-                transfer.rate_mbps = self.share
+                transfer.rate_mbps = share
 
 
 class VectorKernel:
-    """Array-backed advancement state for one simulator.
+    """Every in-flight transfer of one simulator, bucketed by pair.
 
-    Keyed by the simulator's bucket identity — an ordered ``(src,
-    dst)`` pair, or :attr:`LAN` for intra-DC traffic.  The simulator
-    routes its per-transfer hot loops here when built with
-    ``kernel="vectorized"``.
+    ``pairs`` maps each ordered ``(src, dst)`` pair with traffic to its
+    bucket, in first-admission order (a pair's bucket is dropped when
+    it empties); ``lan`` holds intra-DC transfers and is always walked
+    last.
     """
 
-    #: Bucket key for intra-DC (LAN) transfers.
-    LAN = "lan"
+    def __init__(self) -> None:
+        self.pairs: dict[tuple[str, str], _Bucket] = {}
+        self.lan = _Bucket()
 
-    def __init__(self, np) -> None:
-        self.np = np
-        self.buckets: dict[Hashable, _Bucket] = {}
+    def _walk(self) -> list[_Bucket]:
+        buckets = list(self.pairs.values())
+        if self.lan.transfers:
+            buckets.append(self.lan)
+        return buckets
 
-    def add(self, key: Hashable, transfer: "Transfer") -> None:
-        """Track a newly started transfer under ``key``."""
-        bucket = self.buckets.get(key)
+    def add(self, transfer: "Transfer") -> None:
+        """Track a newly started transfer."""
+        if transfer.src == transfer.dst:
+            self.lan.add(transfer)
+            return
+        pair = (transfer.src, transfer.dst)
+        bucket = self.pairs.get(pair)
         if bucket is None:
-            bucket = self.buckets[key] = _Bucket(self.np)
+            bucket = self.pairs[pair] = _Bucket()
         bucket.add(transfer)
 
-    def remove(self, key: Hashable, transfer: "Transfer") -> None:
-        """Stop tracking a finished or cancelled transfer."""
-        bucket = self.buckets.get(key)
-        if bucket is None:
+    def remove(self, transfer: "Transfer") -> None:
+        """Stop tracking a finished or cancelled transfer (no-op when
+        it is not tracked)."""
+        if transfer.src == transfer.dst:
+            self.lan.remove(transfer)
             return
-        bucket.remove(transfer)
-        if not bucket.transfers:
-            del self.buckets[key]
-
-    def set_share(self, key: Hashable, share: float) -> None:
-        """Install one bucket's per-transfer rate."""
-        bucket = self.buckets.get(key)
-        if bucket is not None:
-            bucket.set_share(share)
-
-    def rate_total(self, key: Hashable) -> float:
-        """Aggregate rate of one bucket (0.0 when absent)."""
-        bucket = self.buckets.get(key)
-        return bucket.rate_total() if bucket is not None else 0.0
+        pair = (transfer.src, transfer.dst)
+        bucket = self.pairs.get(pair)
+        if bucket is not None and bucket.remove(transfer):
+            if not bucket.transfers:
+                del self.pairs[pair]
 
     def progress(self, dt: float) -> None:
-        """Advance every bucket by ``dt`` seconds."""
-        for bucket in self.buckets.values():
-            bucket.progress(dt)
+        """Advance every rate-carrying transfer by ``dt`` seconds."""
+        for bucket in self._walk():
+            if bucket.size is None:
+                for t in bucket.transfers:
+                    t.transferred_mbits = min(
+                        t.size_mbits, t.transferred_mbits + t.rate_mbps * dt
+                    )
+            else:
+                bucket.progress(dt)
 
     def advance(self, dt: float) -> list["Transfer"]:
         """Progress every bucket by ``dt`` and collect the finishers.
 
-        One walk over the buckets instead of the progress-then-scan
-        double pass: the completion event's hot path calls this so a
-        same-instant batch of finishing transfers is found in the same
-        visit that advanced it.  ``dt <= 0`` skips the (no-op)
-        progress but still collects — a transfer can finish exactly at
-        an instant another event already progressed to.
+        The completion event's hot path: a same-instant batch of
+        finishing transfers is found in the visit that advanced it.
+        ``dt <= 0`` skips the (no-op) progress but still collects — a
+        transfer can finish exactly at an instant another event
+        already progressed to.
         """
         out: list["Transfer"] = []
-        for bucket in self.buckets.values():
+        for bucket in self._walk():
+            transfers = bucket.transfers
+            if bucket.size is None:
+                for t in transfers:
+                    if dt > 0:
+                        t.transferred_mbits = min(
+                            t.size_mbits, t.transferred_mbits + t.rate_mbps * dt
+                        )
+                    if t.size_mbits - t.transferred_mbits <= FINISH_EPS:
+                        out.append(t)
+                continue
             if dt > 0:
                 bucket.progress(dt)
-            out.extend(bucket.finished())
+            remaining = bucket.size - bucket.transferred
+            if remaining.min() <= FINISH_EPS:
+                indices = (remaining <= FINISH_EPS).nonzero()[0]
+                out.extend(transfers[i] for i in indices.tolist())
         return out
 
     def min_eta(self) -> float:
         """Seconds until the next completion across all buckets."""
         eta = float("inf")
-        for bucket in self.buckets.values():
-            eta = min(eta, bucket.min_eta())
+        for bucket in self._walk():
+            if bucket.size is None:
+                for t in bucket.transfers:
+                    rate = t.rate_mbps
+                    if rate > 0:
+                        eta = min(eta, (t.size_mbits - t.transferred_mbits) / rate)
+                continue
+            limit = len(bucket.transfers) - bucket.fresh
+            if bucket.share > 0 and limit > 0:
+                remaining = bucket.size - bucket.transferred
+                if bucket.fresh:
+                    remaining = remaining[:limit]
+                eta = min(eta, float(remaining.min()) / bucket.share)
         return eta
 
-    def finished(self) -> list["Transfer"]:
-        """Every tracked transfer whose payload has fully arrived."""
-        out: list["Transfer"] = []
-        for bucket in self.buckets.values():
-            out.extend(bucket.finished())
-        return out
-
     def sync_objects(self) -> None:
-        """Flush array state back to the transfer objects (observers)."""
-        for bucket in self.buckets.values():
+        """Flush array state back to the WAN transfer objects."""
+        for bucket in self.pairs.values():
             bucket.sync_objects()

@@ -25,21 +25,17 @@ Model summary (see DESIGN.md §5):
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 from repro.net import tcp
-from repro.net.batch import FINISH_EPS, VectorKernel, allocate_batch, load_numpy
+from repro.net.batch import VectorKernel
 from repro.net.dynamics import FluctuationModel, StaticModel
 from repro.net.matrix import BandwidthMatrix
 from repro.net.sharing import PairFlow, allocate
 from repro.net.topology import Topology
 from repro.net.traffic_control import TrafficController
 from repro.sim.kernel import Event, Simulator
-
-#: Valid values for the ``kernel`` constructor knob.
-KERNELS = ("scalar", "vectorized")
 
 #: Intra-DC (LAN) rate per transfer, Mbps.  High enough that it never
 #: bottlenecks a geo-analytics stage.
@@ -67,7 +63,10 @@ class Transfer:
     """One data transfer between DCs (or within one DC).
 
     ``size_mbits`` is the payload in megabits.  ``rate_mbps`` is the
-    instantaneous fluid rate, updated by the simulator.
+    instantaneous fluid rate, updated by the simulator.  On a pair
+    crowded enough to be array-backed (:mod:`repro.net.batch`) both
+    progress fields are written back on completion, cancellation and
+    :meth:`NetworkSimulator.active_transfers`, not on every step.
     """
 
     src: str
@@ -118,37 +117,11 @@ class NetworkSimulator:
         fluctuation: Optional[FluctuationModel | StaticModel] = None,
         knee: int = tcp.DEFAULT_KNEE,
         time_offset: float = 0.0,
-        kernel: str = "scalar",
     ) -> None:
         self.topology = topology
         self.sim = sim or Simulator()
         self.fluctuation = fluctuation if fluctuation is not None else StaticModel()
         self.knee = knee
-        if kernel not in KERNELS:
-            raise ValueError(
-                f"unknown kernel {kernel!r}; expected one of {KERNELS}"
-            )
-        #: Whether ``kernel="vectorized"`` was requested but numpy was
-        #: unavailable, forcing the scalar path.
-        self.kernel_fallback = False
-        self._vec: Optional[VectorKernel] = None
-        self._np = None
-        if kernel == "vectorized":
-            np_mod = load_numpy()
-            if np_mod is None:
-                warnings.warn(
-                    "kernel='vectorized' requested but numpy is not "
-                    "importable; falling back to the scalar kernel",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-                self.kernel_fallback = True
-                kernel = "scalar"
-            else:
-                self._np = np_mod
-                self._vec = VectorKernel(np_mod)
-        #: Effective advancement kernel ("scalar" after a fallback).
-        self.kernel = kernel
         #: Offset added to simulator time when evaluating network
         #: weather — lets measurement replays probe "the same network at
         #: a different hour" without restarting the clock.
@@ -156,8 +129,8 @@ class NetworkSimulator:
         self.tc = TrafficController()
         self.tc.bind(self._reallocate)
         self._connections = BandwidthMatrix.full(topology.keys, 1.0)
-        self._active: dict[tuple[str, str], list[Transfer]] = {}
-        self._lan_active: list[Transfer] = []
+        #: Every transfer in flight, bucketed by pair (see net/batch.py).
+        self._transfers = VectorKernel()
         self._stats: dict[tuple[str, str], PairStats] = {}
         self._last_progress_time = self.sim.now
         self._completion_event: Optional[Event] = None
@@ -214,14 +187,7 @@ class NetworkSimulator:
             # Zero-size transfer completes immediately (still async).
             self.sim.schedule(0.0, lambda: self._finish(transfer))
             return transfer
-        if src == dst:
-            self._lan_active.append(transfer)
-            if self._vec is not None:
-                self._vec.add(VectorKernel.LAN, transfer)
-        else:
-            self._active.setdefault((src, dst), []).append(transfer)
-            if self._vec is not None:
-                self._vec.add((src, dst), transfer)
+        self._transfers.add(transfer)
         self._reallocate()
         return transfer
 
@@ -230,31 +196,17 @@ class NetworkSimulator:
         if transfer.done:
             return
         transfer.cancelled = True
-        self._remove(transfer)
+        self._transfers.remove(transfer)
         self._reallocate()
-
-    def _remove(self, transfer: Transfer) -> None:
-        if transfer.src == transfer.dst:
-            if transfer in self._lan_active:
-                self._lan_active.remove(transfer)
-                if self._vec is not None:
-                    self._vec.remove(VectorKernel.LAN, transfer)
-            return
-        pair = (transfer.src, transfer.dst)
-        bucket = self._active.get(pair)
-        if bucket and transfer in bucket:
-            bucket.remove(transfer)
-            if self._vec is not None:
-                self._vec.remove(pair, transfer)
-            if not bucket:
-                del self._active[pair]
 
     def _finish(self, transfer: Transfer) -> None:
         if transfer.cancelled:
             return
+        # Evict first: eviction writes the bucket's progress back to the
+        # object, which may sit up to FINISH_EPS short of the payload.
+        self._transfers.remove(transfer)
         transfer.transferred_mbits = transfer.size_mbits
         transfer.finish_time = self.sim.now
-        self._remove(transfer)
         if transfer.on_complete is not None:
             transfer.on_complete(transfer)
 
@@ -279,57 +231,23 @@ class NetworkSimulator:
 
         With ``collect``, the transfers whose payload is now fully
         delivered are gathered *during* the advancement walk and
-        returned — the completion event's fast path, which used to
-        progress every bucket and then re-scan the whole population a
-        second time.  Collection happens even when no time has passed:
-        a transfer can finish exactly at an instant another event
-        already progressed to.
+        returned — the completion event's fast path.  Collection
+        happens even when no time has passed: a transfer can finish
+        exactly at an instant another event already progressed to.
         """
         dt = self.sim.now - self._last_progress_time
-        vec = self._vec
-        finished: list[Transfer] = []
+        transfers = self._transfers
+        finished: list[Transfer] = transfers.advance(dt) if collect else []
+        if dt > 0 and not collect:
+            transfers.progress(dt)
         if dt > 0:
-            if vec is not None:
-                finished = vec.advance(dt) if collect else vec.progress(dt) or []
-            else:
-                for bucket in self._active.values():
-                    for transfer in bucket:
-                        transfer.transferred_mbits = min(
-                            transfer.size_mbits,
-                            transfer.transferred_mbits + transfer.rate_mbps * dt,
-                        )
-                        if collect and transfer.remaining_mbits <= FINISH_EPS:
-                            finished.append(transfer)
-                for transfer in self._lan_active:
-                    transfer.transferred_mbits = min(
-                        transfer.size_mbits,
-                        transfer.transferred_mbits + transfer.rate_mbps * dt,
-                    )
-                    if collect and transfer.remaining_mbits <= FINISH_EPS:
-                        finished.append(transfer)
-            for (src, dst), bucket in self._active.items():
-                if vec is not None:
-                    rate = vec.rate_total((src, dst))
-                else:
-                    rate = sum(t.rate_mbps for t in bucket)
-                stats = self._stats.setdefault((src, dst), PairStats())
+            for pair, bucket in transfers.pairs.items():
+                rate = bucket.rate_total()
+                stats = self._stats.setdefault(pair, PairStats())
                 stats.mbits += rate * dt
                 stats.active_seconds += dt
                 if rate > 0:
                     stats.min_rate_mbps = min(stats.min_rate_mbps, rate)
-        elif collect:
-            if vec is not None:
-                finished = vec.advance(0.0)
-            else:
-                for bucket in self._active.values():
-                    finished.extend(
-                        t for t in bucket if t.remaining_mbits <= FINISH_EPS
-                    )
-                finished.extend(
-                    t
-                    for t in self._lan_active
-                    if t.remaining_mbits <= FINISH_EPS
-                )
         self._last_progress_time = self.sim.now
         return finished
 
@@ -337,7 +255,8 @@ class NetworkSimulator:
         """Re-solve rates and re-schedule the next completion event."""
         self._progress()
 
-        pairs = sorted(self._active.keys())
+        buckets = self._transfers.pairs
+        pairs = sorted(buckets)
         topology = self.topology
         # The connection plan is kept in topology order, so a pair's
         # indices address it directly.
@@ -381,21 +300,11 @@ class NetworkSimulator:
                 dc.ingress_cap_mbps
                 * tcp.vm_efficiency(in_conns[i] // max(1, dc.num_vms))
             )
-        if self._vec is not None:
-            rates = allocate_batch(flows, egress, ingress, np=self._np)
-            for (src, dst), rate in zip(pairs, rates):
-                share = rate / len(self._active[(src, dst)])
-                self._vec.set_share((src, dst), share)
-            self._vec.set_share(VectorKernel.LAN, LAN_MBPS)
-        else:
-            rates = allocate(flows, egress, ingress)
-            for (src, dst), rate in zip(pairs, rates):
-                bucket = self._active[(src, dst)]
-                share = rate / len(bucket)
-                for transfer in bucket:
-                    transfer.rate_mbps = share
-            for transfer in self._lan_active:
-                transfer.rate_mbps = LAN_MBPS
+        rates = allocate(flows, egress, ingress)
+        for pair, rate in zip(pairs, rates):
+            bucket = buckets[pair]
+            bucket.set_share(rate / len(bucket.transfers))
+        self._transfers.lan.set_share(LAN_MBPS)
 
         self._schedule_completion()
         self._schedule_weather()
@@ -404,19 +313,7 @@ class NetworkSimulator:
         if self._completion_event is not None:
             self._completion_event.cancel()
             self._completion_event = None
-        if self._vec is not None:
-            eta = self._vec.min_eta()
-        else:
-            eta = float("inf")
-            for bucket in self._active.values():
-                for transfer in bucket:
-                    if transfer.rate_mbps > 0:
-                        eta = min(
-                            eta, transfer.remaining_mbits / transfer.rate_mbps
-                        )
-            for transfer in self._lan_active:
-                if transfer.rate_mbps > 0:
-                    eta = min(eta, transfer.remaining_mbits / transfer.rate_mbps)
+        eta = self._transfers.min_eta()
         if eta < float("inf"):
             self._completion_event = self.sim.schedule(
                 eta, self._on_completion, priority=1
@@ -429,8 +326,7 @@ class NetworkSimulator:
         self._reallocate()
 
     def _schedule_weather(self) -> None:
-        has_traffic = bool(self._active)
-        if not has_traffic:
+        if not self._transfers.pairs:
             if self._weather_event is not None:
                 self._weather_event.cancel()
                 self._weather_event = None
@@ -456,32 +352,25 @@ class NetworkSimulator:
         the control plane's bandwidth governor reads this to attribute
         per-pair WAN share to jobs before shifting it.
         """
-        if self._vec is not None:
-            self._vec.sync_objects()
-        out: list[Transfer] = []
-        for bucket in self._active.values():
-            out.extend(bucket)
-        return out
+        self._transfers.sync_objects()
+        return [
+            transfer
+            for bucket in self._transfers.pairs.values()
+            for transfer in bucket.transfers
+        ]
 
     def current_rate(self, src: str, dst: str) -> float:
         """Instantaneous aggregate rate of an ordered pair (Mbps)."""
         if src == dst:
-            if self._vec is not None:
-                return self._vec.rate_total(VectorKernel.LAN)
-            return sum(t.rate_mbps for t in self._lan_active)
-        if self._vec is not None:
-            return self._vec.rate_total((src, dst))
-        bucket = self._active.get((src, dst), [])
-        return sum(t.rate_mbps for t in bucket)
+            return self._transfers.lan.rate_total()
+        bucket = self._transfers.pairs.get((src, dst))
+        return bucket.rate_total() if bucket is not None else 0.0
 
     def rate_matrix(self) -> BandwidthMatrix:
         """Instantaneous rates for all pairs."""
         out = BandwidthMatrix.zeros(self.topology.keys)
-        for (src, dst), bucket in self._active.items():
-            if self._vec is not None:
-                out.set(src, dst, self._vec.rate_total((src, dst)))
-            else:
-                out.set(src, dst, sum(t.rate_mbps for t in bucket))
+        for (src, dst), bucket in self._transfers.pairs.items():
+            out.set(src, dst, bucket.rate_total())
         return out
 
     def pair_statistics(self) -> dict[tuple[str, str], PairStats]:

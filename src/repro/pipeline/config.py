@@ -127,12 +127,6 @@ class ServiceConfig(PipelineConfig):
     #: simulation per shard, with identical results at any worker
     #: count.
     shard_workers: int = config_field(0, help="shard worker processes (0 = in-process)")
-    #: Transfer-advancement kernel for the WAN simulator: ``scalar``
-    #: advances each transfer from Python (the reference path);
-    #: ``vectorized`` advances each link's concurrent transfers as one
-    #: numpy vector (falls back to scalar, with a warning, when numpy
-    #: is unavailable).
-    kernel: str = config_field("scalar", help="transfer kernel: scalar or vectorized")
     #: Default per-job SLO deadline, seconds from submission.  Unset
     #: means jobs carry no deadline (and SLO attainment reads 100%).
     slo_deadline_s: Optional[float] = config_field(
@@ -283,6 +277,19 @@ class ServiceConfig(PipelineConfig):
     #: raise toward the paper's 120/100 for fidelity studies).
     n_training_datasets: int = config_field(24, help="training datasets", cli="--datasets")
     n_estimators: int = config_field(16, help="forest size", cli="--estimators")
+
+    def __post_init__(self) -> None:
+        """Reject shard knobs the service cannot honour.
+
+        Runs at construction, before any build work (training a
+        predictor takes seconds); the error names the field.
+        """
+        if self.scheduler_shards < 1:
+            raise ValueError(
+                f"scheduler_shards must be ≥ 1: {self.scheduler_shards}"
+            )
+        if self.shard_workers < 0:
+            raise ValueError(f"shard_workers must be ≥ 0: {self.shard_workers}")
 
 
 # ----------------------------------------------------------------------

@@ -12,7 +12,7 @@ CPU core cannot help.  This module is the scale-out answer:
   (:func:`~repro.runtime.scheduling.shards.shard_for_tenant`), so a
   tenant lands on the same shard either way;
 * :class:`ShardTask` packages one shard's world — regions, profile,
-  scenario, seed, kernel, scheduler knobs, and its job slice — as a
+  scenario, seed, scheduler knobs, and its job slice — as a
   picklable value;
 * :func:`run_shard` (a module-level function, so it pickles by
   reference) builds that world from scratch inside a worker process,
@@ -97,7 +97,6 @@ class ShardTask:
     profile: str
     scenario: Optional[str]
     seed: int
-    kernel: str
     admission: str
     default_policy: str
     max_concurrent: int
@@ -211,7 +210,6 @@ def run_shard(task: ShardTask) -> ShardResult:
         task.vm,
         fluctuation=weather,
         profile=profile,
-        kernel=task.kernel,
     )
     scheduler = JobScheduler(
         cluster,
@@ -361,7 +359,6 @@ def build_tasks(
     profile: str,
     scenario: Optional[str],
     seed: int,
-    kernel: str,
     admission: str,
     default_policy: str,
     max_concurrent: int,
@@ -388,7 +385,6 @@ def build_tasks(
             profile=profile,
             scenario=scenario,
             seed=seed,
-            kernel=kernel,
             admission=admission,
             default_policy=default_policy,
             max_concurrent=bounds[index],

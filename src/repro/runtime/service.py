@@ -160,11 +160,6 @@ class ServiceSummary:
     #: wall-clock seconds that drain took end to end.
     shard_worker_count: int = 0
     parallel_wall_s: float = 0.0
-    #: The transfer-advancement kernel the WAN simulator ran
-    #: (``scalar`` or ``vectorized``), and whether a requested
-    #: vectorized kernel silently degraded because numpy was missing.
-    kernel: str = "scalar"
-    kernel_fallback: bool = False
     #: Continuous-recalibration statistics (all zero with
     #: ``recalibrate = False``, the default): ``recalibrations`` counts
     #: executed recalibrator ticks, ``recal_adjustments`` the
@@ -207,7 +202,6 @@ class ServiceSummary:
             "work_steals": float(self.work_steals),
             "shard_worker_count": float(self.shard_worker_count),
             "parallel_wall_s": self.parallel_wall_s,
-            "kernel_fallback": float(self.kernel_fallback),
             "recalibrations": float(self.recalibrations),
             "recal_adjustments": float(self.recal_adjustments),
         }
@@ -316,7 +310,6 @@ class PipelineService:
             config.vm,
             fluctuation=weather,
             profile=profile,
-            kernel=config.kernel,
         )
         if pipeline is None:
             pipeline = Pipeline(cluster.topology, base, config)
@@ -674,13 +667,12 @@ class PipelineService:
             entries = [(delay, job, None, None) for delay, job in mix]
         tasks = build_tasks(
             entries,
-            max(1, config.scheduler_shards),
+            config.scheduler_shards,
             regions=config.regions,
             vm=config.vm,
             profile=config.profile,
             scenario=config.scenario,
             seed=config.seed,
-            kernel=config.kernel,
             admission=config.scheduler,
             default_policy=config.policy,
             max_concurrent=config.max_concurrent,
@@ -781,8 +773,6 @@ class PipelineService:
             work_steals=getattr(self.scheduler, "steal_count", 0),
             shard_worker_count=self.parallel_workers,
             parallel_wall_s=self.parallel_wall_s,
-            kernel=getattr(self.network, "kernel", "scalar"),
-            kernel_fallback=getattr(self.network, "kernel_fallback", False),
             recalibrations=(
                 self.recalibrator.ticks
                 if self.recalibrator is not None

@@ -234,7 +234,6 @@ class TestCrashedShardWorker:
             profile="vpc-peering",
             scenario=None,
             seed=SEED,
-            kernel="scalar",
             admission="deadline-edf",
             default_policy="tetrium",
             max_concurrent=4,

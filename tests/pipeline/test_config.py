@@ -1,6 +1,7 @@
 """Tests for the layered config system and generated CLI arguments."""
 
 import argparse
+import dataclasses
 import json
 
 import pytest
@@ -43,6 +44,54 @@ class TestDefaults:
     def test_frozen(self):
         with pytest.raises(Exception):
             PipelineConfig().seed = 99
+
+
+class TestShardKnobValidation:
+    """Shard knobs the service cannot honour fail at construction."""
+
+    @pytest.mark.parametrize(
+        ("field", "value"),
+        [("scheduler_shards", 0), ("scheduler_shards", -2), ("shard_workers", -1)],
+    )
+    def test_rejected_naming_the_field(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ServiceConfig(**{field: value})
+        with pytest.raises(ValueError, match=field):
+            dataclasses.replace(ServiceConfig(), **{field: value})
+
+    @pytest.mark.parametrize(
+        ("field", "value"), [("scheduler_shards", 1), ("shard_workers", 0)]
+    )
+    def test_lowest_valid_values_accepted(self, field, value):
+        assert getattr(ServiceConfig(**{field: value}), field) == value
+
+    def test_env_layer_rejected_before_any_build(self, monkeypatch):
+        from repro.pipeline.core import Pipeline
+        from repro.runtime.service import PipelineService
+
+        def no_build(*args, **kwargs):
+            raise AssertionError("build work ran before validation")
+
+        monkeypatch.setattr(Pipeline, "train", no_build)
+        monkeypatch.setattr(PipelineService, "build", no_build)
+        monkeypatch.setenv("WANIFY_SHARD_WORKERS", "-1")
+        with pytest.raises(ValueError, match="shard_workers"):
+            layered_config(ServiceConfig)
+
+    def test_cli_exits_2_before_training(self, monkeypatch):
+        import io
+
+        from repro.cli import main
+        from repro.pipeline.core import Pipeline
+
+        def no_train(*args, **kwargs):
+            raise AssertionError("training ran before validation")
+
+        monkeypatch.setattr(Pipeline, "train", no_train)
+        out = io.StringIO()
+        code = main(["serve", "--scheduler-shards", "0"], out=out)
+        assert code == 2
+        assert "scheduler_shards" in out.getvalue()
 
 
 class TestFileLayer:

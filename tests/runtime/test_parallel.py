@@ -46,7 +46,6 @@ def _tasks(entries, shards=4, max_concurrent=8):
         profile="vpc-peering",
         scenario=None,
         seed=42,
-        kernel="scalar",
         admission="deadline-edf",
         default_policy="tetrium",
         max_concurrent=max_concurrent,

@@ -37,7 +37,6 @@ def _cluster(weather=None):
         PAIR,
         "t2.medium",
         fluctuation=weather if weather is not None else StaticModel(),
-        kernel="vectorized",
     )
 
 
